@@ -9,14 +9,17 @@ dual electric field S = (E2, -E1):
 
 where w_i is the signed winding number of the path around charge i
 (counter-clockwise positive).  The two species pick up phases equal in
-size and opposite in sign; this module computes them by adaptive
-Gauss-Kronrod integration of S along polyline paths and reports the
-per-charge winding numbers alongside.
+size and opposite in sign.
 
-The quantized loop values follow from the field normalization: around a
-single charge Loop(S . dr) = -lambda * w exactly (see the field
-module), so the numerical line integral has an exact topological
-oracle.
+With the field normalization of the field module, S . dr around one
+charge is -(lambda / 2 pi) d(theta), theta the polar angle seen from
+the charge.  A straight segment therefore contributes exactly
+-(lambda / 2 pi) times the angle it subtends at the charge, and no
+quadrature is needed: every quantity here comes from one segments x
+charges evaluation of atan2(cross, dot).  Closed paths use the integer
+windings, so their phases are exact up to rounding; open interferometer
+arms use the summed angles.  The `tol` arguments are validated but
+steer nothing.
 
 Sign conventions: the gamma-matrix orientation tag is s = +1
 (`GAMMA_CONVENTION_S`), and the spinor/scalar signs above are the
@@ -28,21 +31,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EndpointMismatch,
-    NonConvergence,
-    ParseError,
-    PointOnPath,
-    SingularPath,
-)
-from .field import FieldConfig, dual_field, efield
-from .quadrature import NODES_15, WEIGHTS_G7, WEIGHTS_K15
+from .errors import EndpointMismatch, ParseError, PointOnPath, SingularPath
+from .field import TWO_PI, FieldConfig
+from .field import efield  # noqa: F401  bench/spans.py wraps acmoment.phase.efield
 
 # gamma-matrix orientation tag entering the scalar coupling; recorded in
 # output metadata, with the species signs fixed to the stated results.
@@ -51,8 +49,6 @@ GAMMA_CONVENTION_S = +1
 # Points closer to the path than this fraction of its diameter count as
 # lying on it (winding undefined, line integral singular).
 _PROXIMITY = 1e-12
-
-_MAX_SPLIT_DEPTH = 60
 
 
 class Species(Enum):
@@ -135,7 +131,12 @@ class PolylinePath:
 
 @dataclass(frozen=True)
 class PhaseResult:
-    """Accumulated phase, per-charge windings, and integration error."""
+    """Accumulated phase, per-charge windings, and a rounding bound.
+
+    `error_estimate` bounds the floating-point rounding of `phase`; the
+    phase itself is the exact +-g * sum_i lambda_i w_i, with no
+    integration error.
+    """
 
     phase: float
     windings: tuple
@@ -148,17 +149,44 @@ class FringeShift(NamedTuple):
     contrast: float
 
 
-def _point_segment_distances(point, P, Q):
-    """Distance from `point` to each segment P[i]-Q[i]."""
+def _subtended_angles(path: PolylinePath, points, on_path: Exception):
+    """Signed angle (CCW > 0) the path sweeps as seen from each point.
+
+    Each segment subtends atan2(cross, dot) of its end vectors; the
+    per-point totals are summed with fsum.  Raises `on_path` when any
+    point lies within 1e-12 of the path diameter from a segment, where
+    the angle is undefined.
+    """
+    P, Q = path.segment_endpoints()
+    a = P[None, :, :] - points[:, None, :]
+    b = Q[None, :, :] - points[:, None, :]
     d = Q - P
     L2 = np.einsum("ij,ij->i", d, d)
-    rel = point[None, :] - P
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(L2 > 0.0, np.einsum("ij,ij->i", rel, d) / L2, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = P + t[:, None] * d
-    diff = point[None, :] - proj
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        t = np.where(L2 > 0.0, -np.einsum("pik,ik->pi", a, d) / L2, 0.0)
+    gap = a + np.clip(t, 0.0, 1.0)[..., None] * d
+    clearance = np.sqrt(np.einsum("pik,pik->pi", gap, gap))
+    if np.any(clearance <= _PROXIMITY * path.diameter()):
+        raise on_path
+    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    dot = np.einsum("pik,pik->pi", a, b)
+    return np.array([math.fsum(row) for row in np.arctan2(cross, dot)])
+
+
+def _winding(angle: float) -> int:
+    return int(round(angle / TWO_PI))
+
+
+def _charge_angles(path: PolylinePath, config: FieldConfig, tol: float):
+    """Charge strengths and the angles the path subtends at each charge."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    angles = _subtended_angles(
+        path,
+        config.positions(),
+        SingularPath("a path segment passes within machine tolerance of a charge"),
+    )
+    return config.lambdas(), angles
 
 
 def winding_number(path: PolylinePath, point) -> int:
@@ -173,102 +201,23 @@ def winding_number(path: PolylinePath, point) -> int:
     p = np.asarray(point, dtype=float)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise ValueError("point must be a finite 2-vector")
-    P, Q = path.segment_endpoints()
-    if np.min(_point_segment_distances(p, P, Q)) <= _PROXIMITY * path.diameter():
-        raise PointOnPath(f"point {p.tolist()} lies on the path")
-    a = P - p[None, :]
-    b = Q - p[None, :]
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    dot = np.einsum("ij,ij->i", a, b)
-    total = float(np.arctan2(cross, dot).sum())
-    return int(round(total / (2.0 * math.pi)))
-
-
-def _min_charge_distance(positions, A, B):
-    """Min over charges of the distance from a charge to segment A-B."""
-    d = B - A
-    L2 = float(d @ d)
-    rel = positions - A[None, :]
-    if L2 > 0.0:
-        t = np.clip(rel @ d / L2, 0.0, 1.0)
-        rel = rel - t[:, None] * d[None, :]
-    return float(np.sqrt(np.einsum("ij,ij->i", rel, rel)).min())
-
-
-def _dual_rule(config, base, direction, a, b):
-    """GK 7-15 estimates of Int_a^b S(base + t*direction) . direction dt."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    t = mid + half * NODES_15
-    pts = base[None, :] + t[:, None] * direction[None, :]
-    vals = dual_field(efield(config, pts)) @ direction
-    kron = half * float(WEIGHTS_K15 @ vals)
-    gauss = half * float(WEIGHTS_G7 @ vals)
-    return kron, abs(kron - gauss)
-
-
-def _refine(config, positions, base, direction, length, a, b, budget, depth):
-    """Adaptive GK integration of one parameter interval of a segment."""
-    if depth > _MAX_SPLIT_DEPTH:
-        raise NonConvergence(
-            "line-integral subdivision exceeded maximum depth; the path "
-            "approaches a charge too closely for the requested tolerance"
-        )
-    A = base + a * direction
-    B = base + b * direction
-    piece_len = (b - a) * length
-    # 1/r fields defeat a fixed-order rule on segments that pass close
-    # by a charge; split on geometry first, then on the error estimate.
-    if _min_charge_distance(positions, A, B) < 0.1 * piece_len:
-        value = error = 0.0
-    else:
-        value, error = _dual_rule(config, base, direction, a, b)
-        if error <= budget:
-            return value, error
-    mid = 0.5 * (a + b)
-    v1, e1 = _refine(config, positions, base, direction, length, a, mid,
-                     0.5 * budget, depth + 1)
-    v2, e2 = _refine(config, positions, base, direction, length, mid, b,
-                     0.5 * budget, depth + 1)
-    return v1 + v2, e1 + e2
-
-
-def _line_integral(path: PolylinePath, config: FieldConfig, tol: float):
-    """Loop/path integral of S . dr with its accumulated error estimate."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not config.charges:
-        return 0.0, 0.0
-    P, Q = path.segment_endpoints()
-    positions = config.positions()
-    scale = path.diameter()
-    values = []
-    errors = []
-    budget = tol / len(P)
-    for A, B in zip(P, Q):
-        direction = B - A
-        length = float(math.hypot(direction[0], direction[1]))
-        if length == 0.0:
-            continue
-        if _min_charge_distance(positions, A, B) <= _PROXIMITY * scale:
-            raise SingularPath(
-                "a path segment passes within machine tolerance of a charge"
-            )
-        v, e = _refine(config, positions, A, direction, length, 0.0, 1.0,
-                       budget, 0)
-        values.append(v)
-        errors.append(e)
-    return math.fsum(values), math.fsum(errors)
+    (angle,) = _subtended_angles(
+        path, p[None, :], PointOnPath(f"point {p.tolist()} lies on the path")
+    )
+    return _winding(angle)
 
 
 def line_integral_dual(path: PolylinePath, config: FieldConfig, tol: float) -> float:
     """Integral of the dual field S . dr along a polyline path.
 
-    For a closed path this is the exactly quantized quantity
-    -sum_i lambda_i w_i (up to the integration tolerance).
+    S . dr = -(lambda / 2 pi) d(theta) around each charge, so the value
+    is -sum_i lambda_i theta_i / 2 pi, with theta_i the angle the path
+    subtends at charge i.  It is exact up to rounding; for a closed
+    path it is the quantized -sum_i lambda_i w_i.  `tol` is validated
+    but steers nothing.
     """
-    value, _ = _line_integral(path, config, tol)
-    return value
+    lam, angles = _charge_angles(path, config, tol)
+    return -math.fsum(lam * angles) / TWO_PI
 
 
 def ac_phase(
@@ -280,11 +229,11 @@ def ac_phase(
 ) -> PhaseResult:
     """Topological phase of a closed trajectory around a charge set.
 
-    spinor phase = -g * Loop(S . dr); the scalar phase is its exact
-    negative (the loop integral is computed once and only the sign
-    differs).  A single charge of strength lambda encircled once
-    counter-clockwise gives +g*lambda for the spinor and -g*lambda for
-    the scalar.
+    spinor phase = -g * Loop(S . dr) = +g * sum_i lambda_i w_i; the
+    scalar phase is its exact negative.  A single charge of strength
+    lambda encircled once counter-clockwise gives +g*lambda for the
+    spinor and -g*lambda for the scalar.  The windings are exact
+    integers, so the phase is exact up to rounding.
     """
     species = Species(species)
     if not path.closed:
@@ -294,14 +243,16 @@ def ac_phase(
         )
     if not math.isfinite(g):
         raise ValueError("g must be finite")
-    loop, err = _line_integral(path, config, tol)
-    base = g * loop
-    phase = -base if species is Species.SPINOR else base
-    windings = tuple(winding_number(path, c.position) for c in config.charges)
+    lam, angles = _charge_angles(path, config, tol)
+    windings = tuple(_winding(angle) for angle in angles)
+    terms = lam * np.array(windings, dtype=float)
+    # Each product, the fsum and the scaling by g round once, each by at
+    # most half an ulp, i.e. eps/2 of a value bounded by |g| sum|terms|.
+    bound = 2.0 * sys.float_info.epsilon * abs(g) * math.fsum(np.abs(terms))
     return PhaseResult(
-        phase=phase,
+        phase=species.winding_sign * g * math.fsum(terms),
         windings=windings,
-        error_estimate=abs(g) * err,
+        error_estimate=bound,
         species=species,
     )
 
@@ -331,8 +282,7 @@ def fringe_shift(
         raise EndpointMismatch(
             "interferometer arms must share identical start and end points"
         )
-    va, _ = _line_integral(path_a, config, tol)
-    vb, _ = _line_integral(path_b, config, tol)
-    base = g * (va - vb)
-    delta = -base if species is Species.SPINOR else base
+    va = line_integral_dual(path_a, config, tol)
+    vb = line_integral_dual(path_b, config, tol)
+    delta = -species.winding_sign * g * (va - vb)
     return FringeShift(delta_phase=delta, contrast=math.cos(0.5 * delta) ** 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import half_circle_arm, regular_polygon, ring_loop
+from line_oracle import line_integral, relative_clearance
 
 from acmoment.errors import (
     EndpointMismatch,
@@ -278,3 +279,101 @@ def test_fringe_rejects_closed_arms():
     with pytest.raises(ValueError):
         fringe_shift(regular_polygon(8), half_circle_arm(True), cfg, 1.0,
                      "spinor", 1e-8)
+
+
+# ------------------------------------------------------ near-path charges
+
+NEAR_GAPS = [1e-3, 1e-6, 1e-9]
+
+
+def _charge_off_segment(path, index, gap, side, lam=1.5):
+    """Charge `gap` segment lengths off the middle of one segment.
+
+    `side` -1 puts it toward the origin, +1 away from it; for the
+    polygons and arms here that is inside and outside the loop.
+    """
+    P, Q = path.segment_endpoints()
+    mid = 0.5 * (P[index] + Q[index])
+    length = math.hypot(*(Q[index] - P[index]))
+    pos = mid + side * gap * length * mid / math.hypot(*mid)
+    return FieldConfig([LineCharge(float(pos[0]), float(pos[1]), lam)])
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("gap", NEAR_GAPS)
+def test_charge_near_ring_segment(gap, side):
+    ring = regular_polygon(36)
+    cfg = _charge_off_segment(ring, 5, gap, side)
+    w = 1 if side < 0 else 0
+    res = ac_phase(ring, cfg, 2.0, "spinor", 1e-10)
+    assert res.windings == (w,)
+    assert res.phase == 2.0 * 1.5 * w
+    assert line_integral_dual(ring, cfg, 1e-10) == pytest.approx(-1.5 * w, abs=1e-14)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("gap", NEAR_GAPS)
+def test_fringe_charge_near_arm(gap, side):
+    up, down = half_circle_arm(True), half_circle_arm(False)
+    cfg = _charge_off_segment(up, 10, gap, side)
+    w = 1 if side < 0 else 0
+    res = fringe_shift(up, down, cfg, 2.0, "spinor", 1e-10)
+    assert abs(res.delta_phase - 2.0 * 1.5 * w) <= 1e-12
+
+
+# ------------------------------------------------ numeric line-integral oracle
+
+def _clear_charges(rng, path, n, half_width):
+    """n random charges in a square, each >= 0.05 segment lengths off the path."""
+    points = np.empty((0, 2))
+    while len(points) < n:
+        trial = rng.uniform(-half_width, half_width, size=(4 * n, 2))
+        points = np.vstack([points, trial[relative_clearance(path, trial) >= 0.05]])
+    return FieldConfig([LineCharge(float(x), float(y), float(rng.uniform(-2.0, 2.0)))
+                        for x, y in points[:n]])
+
+
+def _random_arms(rng, n=12):
+    """Two random open arms from (1, 0) to (-1, 0) and the loop A + reversed B."""
+    start, end = [1.0, 0.0], [-1.0, 0.0]
+    arm_a, arm_b = (
+        PolylinePath(np.vstack([start, rng.uniform(-2.0, 2.0, size=(n, 2)), end]))
+        for _ in range(2)
+    )
+    joined = PolylinePath(np.vstack([arm_a.vertices, arm_b.vertices[-2:0:-1]]),
+                          closed=True)
+    return arm_a, arm_b, joined
+
+
+def test_closed_form_matches_numeric_integral_on_rings():
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        w = int(rng.integers(1, 4)) * int(rng.choice([-1, 1]))
+        loop = ring_loop(rng, w)
+        cfg = _clear_charges(rng, loop, int(rng.integers(1, 4)), 1.5)
+        numeric = line_integral(loop, cfg, 1e-11)
+        assert abs(line_integral_dual(loop, cfg, 1e-10) - numeric) <= 1e-9
+        res = ac_phase(loop, cfg, 1.7, "spinor", 1e-10)
+        assert abs(res.phase - (-1.7 * numeric)) <= 1e-9
+
+
+def test_closed_form_matches_numeric_integral_on_arms():
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        arm_a, arm_b, joined = _random_arms(rng)
+        cfg = _clear_charges(rng, joined, 3, 1.0)
+        va, vb = line_integral(arm_a, cfg, 1e-11), line_integral(arm_b, cfg, 1e-11)
+        assert abs(line_integral_dual(arm_a, cfg, 1e-10) - va) <= 1e-9
+        res = fringe_shift(arm_a, arm_b, cfg, 1.3, "spinor", 1e-10)
+        assert abs(res.delta_phase - (-1.3 * (va - vb))) <= 1e-9
+
+
+def test_fringe_equals_phase_of_joined_loop():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        arm_a, arm_b, joined = _random_arms(rng)
+        cfg = _clear_charges(rng, joined, 3, 1.0)
+        for species in ("spinor", "scalar"):
+            loop = ac_phase(joined, cfg, 1.3, species, 1e-10)
+            fringe = fringe_shift(arm_a, arm_b, cfg, 1.3, species, 1e-10)
+            assert abs(fringe.delta_phase - loop.phase) <= 1e-12
