@@ -44,11 +44,36 @@ degenerate kinematics m2 = 0, m1 = m_phi.
 
 Kinematic domain
 ----------------
-The denominator must be positive on the open triangle.  For the gauge
-model positivity fails once q^2/m^2 >= 4 + O(Mcs^2/m^2) (the two-body
-threshold); such parameters are rejected with `DomainError` at
-construction.  Spacelike q^2 < 0 and sub-threshold timelike q^2 are
-both supported.
+The denominator must be positive on the triangle.  For the gauge model
+positivity fails at the two-body threshold q^2/m^2 = (1 + sqrt(1 +
+Mcs^2/m^2))^2; for the Yukawa model when the scalar can decay.  Both
+are rejected with `DomainError` at construction, from the exact
+minimum of the denominator over the triangle (each edge and the
+interior stationary point are quadratics with closed-form minima).
+Spacelike q^2 < 0 and sub-threshold timelike q^2 are both supported.
+
+Evaluation
+----------
+For fixed y the denominator is quadratic in x, so the inner x integral
+has a closed form (Gradshteyn-Ryzhik 2.264):
+
+* gauge model, with R0 = y^2 + m, R1 = y^2 + (1-y) m,
+  s = sqrt(R0) + sqrt(R1) and m = Mcs^2/m^2,
+
+      Int_0^y y D^(-3/2) dx = 2 y^2 s / (sqrt(R0) sqrt(R1) (s^2 - q^2 y^2)),
+
+  rationalised so that the discriminant cancels exactly and the form
+  stays accurate where it vanishes;
+
+* Yukawa model, with c(y) = y^2 + mb^2 - y (1 - ma^2 + mb^2),
+
+      Int_0^y N(y) D^(-3/2) dx = 4 y N(y) / ((4c - q^2 y^2) sqrt(c)).
+
+The remaining y integral is done by the pure-Python adaptive driver
+`quadrature.integrate_unit_interval`.  The 2-D cubature
+(`integrate_triangle`) and Monte Carlo over the triangle, both applied
+to `susy_integrand`/`yukawa_integrand`, are independent checks of these
+reductions.
 """
 
 from __future__ import annotations
@@ -60,58 +85,62 @@ import numpy as np
 from scipy.integrate import quad as _quad_1d
 
 from .errors import DomainError, InfraredDivergent
-from .quadrature import DEFAULT_BUDGET, integrate_triangle
+# integrate_triangle is no longer used here; it stays importable under
+# this name because the benchmark's tracer wraps it.
+from .quadrature import DEFAULT_BUDGET, integrate_triangle, integrate_unit_interval  # noqa: F401
 
 SUSY_PREFACTOR = "e^3 / (16*pi*m^2)"
 YUKAWA_PREFACTOR = "|a|^2 / (16*pi^2*m_phi^2); charges e1, e2 folded into the integral"
 
-# Grid-minimized denominator at or below this value counts as a
-# positivity failure (above-threshold kinematics).
+# A denominator minimum at or below this value counts as a positivity
+# failure (above-threshold kinematics, or too close to it to integrate).
 DENOMINATOR_FLOOR = 1e-9
 
 
-_V_PROBES = (np.arange(64) + 0.5) / 64.0
+def _edge_min(a, b, c, end, boundary_zeros=()):
+    """Minimum of a t^2 + b t + c over 0 <= t <= 1, whose value at t = 1 is end.
 
-
-def _interior_min(u, q_hat2, B, C):
-    """Min of A(u) v^2 + B v + C over strictly interior probe points.
-
-    Per u the quadratic is sampled on 64 interior v values and, when its
-    vertex falls strictly inside (0, 1), evaluated there in closed form.
-    Boundary values are excluded on purpose: the denominator may vanish
-    on the closure (the x = y = 0 corner, or the y = 1 edge in the
-    degenerate mass cases) while staying positive on the open triangle,
-    and only interior non-positivity means above-threshold kinematics.
+    Endpoints listed in boundary_zeros (0 and/or 1) are known zeros on
+    the boundary of the triangle and are left out.  The vertex counts
+    when the quadratic is convex and the vertex lies strictly inside.
     """
-    A = 1.0 - u * (1.0 - u) * q_hat2
-    D = A[:, None] * _V_PROBES ** 2 + B[:, None] * _V_PROBES + C[:, None]
-    m = D.min(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vstar = np.where(A > 0.0, -B / (2.0 * A), -1.0)
-        at_vertex = C - B * B / (4.0 * A)
-    use = (A > 0.0) & (vstar > 0.0) & (vstar < 1.0)
-    return np.where(use, np.minimum(m, at_vertex), m)
+    values = [v for t, v in ((0, c), (1, end)) if t not in boundary_zeros]
+    if a > 0.0 and 0.0 < -b < 2.0 * a:
+        values.append(c - b * b / (4.0 * a))
+    return min(values, default=math.inf)
 
 
-def _denominator_floor(q_hat2, b_of_u, c_of_u):
-    """Grid-minimize the (u, v)-form denominator A(u) v^2 + B(u) v + C(u).
+def _gauge_min(q2, m):
+    """Exact minimum of D = y^2 + (1-x) m - x(y-x) q2 over 0 <= x <= y <= 1.
 
-    A(u) = 1 - u(1-u) q_hat2 after the triangle-to-square substitution
-    x = u v, y = v.  A 64x64 interior grid is scanned (exact in v at the
-    quadratic's vertex), then refined twice in u around the minimizer.
+    The edge x = y gives t^2 - m t + m (the edge x = 0, t^2 + m, never
+    goes lower), the edge y = 1 gives q2 t^2 - (q2 + m) t + 1 + m, and
+    for 0 < q2 < 4 the one stationary point is x = 2m/(q2 (4 - q2)),
+    y = q2 x / 2, where D = m - m x / 2.  At m = 0 the corner x = y = 0
+    is a boundary zero and is left out.
     """
-    u = (np.arange(64) + 0.5) / 64.0
-    width = 1.0 / 64.0
-    floor = math.inf
-    for _ in range(3):
-        m = _interior_min(u, q_hat2, b_of_u(u), c_of_u(u))
-        i = int(np.argmin(m))
-        floor = min(floor, float(m[i]))
-        lo = max(1.0 / 4096.0, float(u[i]) - width)
-        hi = min(1.0 - 1.0 / 4096.0, float(u[i]) + width)
-        u = np.linspace(lo, hi, 65)
-        width /= 16.0
-    return floor
+    corner = (0,) if m == 0.0 else ()
+    best = min(_edge_min(1.0, -m, m, 1.0, corner), _edge_min(q2, -(q2 + m), 1.0 + m, 1.0))
+    if 0.0 < q2 < 4.0 and m > 0.0:
+        x = 2.0 * m / (q2 * (4.0 - q2))
+        if x < 0.5 * q2 * x < 1.0:
+            best = min(best, m - 0.5 * m * x)
+    return best
+
+
+def _yukawa_min(q2, ma, mb):
+    """Exact minimum of c(y) - q2 x (y - x) over the triangle, one mass ordering.
+
+    For fixed y the minimum over x is c(y) on the edges when q2 <= 0 and
+    c(y) - q2 y^2 / 4 at x = y/2 when q2 > 0: a quadratic in y that is
+    mb^2 at y = 0 and ma^2 - max(q2, 0)/4 at y = 1.  Boundary zeros are
+    left out: the corner y = 0 when mb = 0, and the edge y = 1 when
+    ma = 0 and q2 <= 0.
+    """
+    q2_pos = max(q2, 0.0)
+    zeros = ((0,) if mb == 0.0 else ()) + ((1,) if ma == 0.0 and q2 <= 0.0 else ())
+    return _edge_min(1.0 - 0.25 * q2_pos, -(1.0 - ma * ma + mb * mb), mb * mb,
+                     ma * ma - 0.25 * q2_pos, zeros)
 
 
 def _require_finite(name, value):
@@ -137,18 +166,15 @@ class SusyParams:
         if self.mcs_hat2 < 0.0:
             raise ValueError("mcs_hat2 must be >= 0")
         mcs2 = self.mcs_hat2
-        floor = _denominator_floor(
-            self.q_hat2,
-            lambda u: -mcs2 * u,
-            lambda u: np.full_like(u, mcs2),
-        )
+        floor = _gauge_min(self.q_hat2, mcs2)
         if floor <= DENOMINATOR_FLOOR:
             raise DomainError(
                 f"denominator minimum {floor:.3g} is at or below the safety "
                 f"floor {DENOMINATOR_FLOOR:g} for q_hat2 = {self.q_hat2:g}, "
                 f"mcs_hat2 = {mcs2:g}: kinematics at or above the two-body "
-                "threshold (or a regulator mass too small to integrate "
-                "reliably) are not supported"
+                f"threshold q_hat2 = (1 + sqrt(1 + mcs_hat2))^2 = "
+                f"{(1.0 + math.sqrt(1.0 + mcs2)) ** 2:.10g} (or a regulator mass too small "
+                "to integrate reliably) are not supported"
             )
 
 
@@ -182,13 +208,7 @@ class YukawaParams:
             (self.m1_hat, self.m2_hat, "first"),
             (self.m2_hat, self.m1_hat, "swapped"),
         ):
-            b_const = -(1.0 - (ma * ma - mb * mb))
-            c_const = mb * mb
-            floor = _denominator_floor(
-                self.q_hat2,
-                lambda u, b=b_const: np.full_like(u, b),
-                lambda u, c=c_const: np.full_like(u, c),
-            )
+            floor = _yukawa_min(self.q_hat2, ma, mb)
             if floor <= DENOMINATOR_FLOOR:
                 raise DomainError(
                     f"denominator of the {tag} mass ordering not positive on "
@@ -253,6 +273,110 @@ def yukawa_integrand(x, y, params: YukawaParams, term: str = "first"):
     return float(out) if out.ndim == 0 else out
 
 
+def _gauge_inner(params: SusyParams):
+    """Closed-form x integral of `susy_integrand`, as (value, scale) in y.
+
+    See the module docstring for the formula.  The one subtraction,
+    s^2 - q2 y^2, cancels near threshold; the scale multiplies the value
+    by its cancellation factor (s^2 + |q2| y^2) / (s^2 - q2 y^2).
+    """
+    q2 = params.q_hat2
+    q2_abs = abs(q2)
+    m = params.mcs_hat2
+
+    def inner(y):
+        y2 = y * y
+        s0 = math.sqrt(y2 + m)
+        s1 = math.sqrt(y2 + (1.0 - y) * m)
+        s = s0 + s1
+        s2 = s * s
+        den = s2 - q2 * y2
+        value = 2.0 * y2 * s / (s0 * s1 * den)
+        return value, value * (s2 + q2_abs * y2) / den
+
+    return inner
+
+
+def _yukawa_inner(q2, ma, mb):
+    """Closed-form x integral of one Yukawa term, as (value, scale) in y.
+
+    value = 4 y N / ((4c - q2 y^2) sqrt(c)) with N = (ma + mb) y - mb and
+    c(y) = y^2 - (1 - ma^2 + mb^2) y + mb^2.  c is expanded about the
+    nearer end of [0, 1], c(1 - z) = z^2 - (1 + ma^2 - mb^2) z + ma^2 for
+    y > 1/2, so that it does not cancel where it vanishes at an end.  The
+    scale adds the cancellation factors of c, 4c - q2 y^2 and N, taken
+    from the same sums with every term made positive.
+    """
+    ma2 = ma * ma
+    mb2 = mb * mb
+    lin0 = 1.0 - ma2 + mb2
+    lin1 = 1.0 + ma2 - mb2
+    lin_abs = 1.0 + ma2 + mb2
+    msum = ma + mb
+    q2_abs = abs(q2)
+
+    def inner(y):
+        y2 = y * y
+        if y <= 0.5:
+            c = y2 + mb2 - y * lin0
+            c_abs = y2 + mb2 + y * lin_abs
+        else:
+            z = 1.0 - y
+            c = z * z + ma2 - z * lin1
+            c_abs = z * z + ma2 + z * lin_abs
+        den = 4.0 * c - q2 * y2
+        weight = 4.0 * y / (den * math.sqrt(c))
+        num = msum * y - mb
+        cancel = c_abs / c + (4.0 * c_abs + q2_abs * y2) / den
+        return num * weight, weight * (msum * y + mb + abs(num) * cancel)
+
+    return inner
+
+
+def _graded(t, stop):
+    """t, 4t, 16t, ... below stop: a starting mesh graded away from a
+    feature at distance t, so that no starting interval is longer than
+    three times its distance to the feature."""
+    points = []
+    while 0.0 < t < stop:
+        points.append(t)
+        t *= 4.0
+    return points
+
+
+def _zero_points(b, c):
+    """Points of (0, 1/2] that resolve the zeros of t^2 + b t + c near t = 0.
+
+    For each zero (real or complex) take the point p of [0, 1] nearest
+    to it and its distance d from the interval: p - d, p and p + d.  The
+    stable quadratic formula puts a zero at c = 0 exactly on t = 0.
+    """
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        zeros = [(-0.5 * b, 0.5 * math.sqrt(-disc))]
+    else:
+        root = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        zeros = [(root, 0.0), (c / root, 0.0)] if root != 0.0 else [(0.0, 0.0)]
+    points = []
+    for re, im in zeros:
+        p = min(max(re, 0.0), 1.0)
+        d = math.sqrt((re - p) * (re - p) + im * im)
+        points += [t for t in (p - d, p, p + d) if 0.0 < t <= 0.5]
+    return points
+
+
+def _yukawa_breakpoints(ma, mb):
+    """Graded breakpoints for the zeros of c(y), the branch points of sqrt(c).
+
+    Zeros near y = 0 come from c(y) = y^2 - (1 - ma^2 + mb^2) y + mb^2,
+    zeros near y = 1 from c(1 - z) = z^2 - (1 + ma^2 - mb^2) z + ma^2.
+    """
+    near0 = _zero_points(-(1.0 - ma * ma + mb * mb), mb * mb)
+    near1 = _zero_points(-(1.0 + ma * ma - mb * mb), ma * ma)
+    return ([t for p in near0 for t in _graded(p, 0.5)]
+            + [1.0 - z for p in near1 for z in _graded(p, 0.5)])
+
+
 def susy_form_factor(
     params: SusyParams,
     tol: float,
@@ -277,11 +401,12 @@ def susy_form_factor(
             f"corner contributes {coeff:.6g} * ln(1/corner-cutoff) at "
             f"q_hat2 = {params.q_hat2:g}; set mcs_hat2 > 0 to regulate"
         )
-    res = integrate_triangle(
-        lambda px, py: susy_integrand(px, py, params),
+    res = integrate_unit_interval(
+        _gauge_inner(params),
         tol,
         budget=budget,
         initial_depth=initial_depth,
+        breakpoints=_graded(math.sqrt(params.mcs_hat2), 1.0),
     )
     return FormFactorResult(
         integral=res.value,
@@ -313,7 +438,11 @@ def yukawa_form_factor(
     error = 0.0
     evaluations = 0
     degenerate = params.m2_hat == 0.0 and params.m1_hat == 1.0
-    for term, charge in (("first", params.e1), ("swapped", params.e2)):
+    m1, m2 = params.m1_hat, params.m2_hat
+    for term, charge, ma, mb in (
+        ("first", params.e1, m1, m2),
+        ("swapped", params.e2, m2, m1),
+    ):
         if charge == 0.0:
             continue
         if term == "first" and degenerate:
@@ -331,11 +460,12 @@ def yukawa_form_factor(
                 "m2_hat = 0, m1_hat = 1; give m2 a mass or move m1_hat off "
                 "the scalar mass"
             )
-        res = integrate_triangle(
-            lambda px, py, t=term: yukawa_integrand(px, py, params, t),
+        res = integrate_unit_interval(
+            _yukawa_inner(params.q_hat2, ma, mb),
             tol,
             budget=budget,
             initial_depth=initial_depth,
+            breakpoints=_yukawa_breakpoints(ma, mb),
         )
         total += charge * res.value
         error += abs(charge) * res.error_estimate

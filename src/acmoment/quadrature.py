@@ -1,32 +1,32 @@
-"""Deterministic integration over the Feynman-parameter triangle.
+"""Deterministic integration on [0, 1] and over the Feynman-parameter triangle.
 
-The integration domain is the triangle
+Production form factors are 1-D: the inner Feynman-parameter integral
+has a closed form, which leaves an integral over y on [0, 1].  Three
+integrators are provided:
 
-    T = {(x, y) : 0 <= x <= y <= 1}.
-
-All form-factor integrands of interest concentrate at the corner
-x = y = 0, so the triangle is first mapped onto the unit square by
-
-    x = u * v,   y = v,   (u, v) in [0, 1]^2,   dx dy = v du dv,
-
-which turns corner concentration into a one-sided boundary layer in v
-that recursive bisection resolves efficiently.  Integrands that behave
-like y / (y^2)^{3/2} on T become ~ 1/v after the substitution: their
-divergence is then explicit and the adaptive driver fails loudly
-(`NonConvergence`) instead of quietly returning a truncation artifact.
-
-Two integrators are provided:
-
-* `integrate_triangle` -- globally adaptive bisection of the (u, v)
-  square with an embedded Gauss-Kronrod 7-15 tensor rule.  The Kronrod
-  value is the estimate, |K15xK15 - G7xG7| the local error, and the
-  worst cell (largest local error) is split into four until the summed
-  local error drops below the absolute tolerance.
-* `mc_integrate_triangle` -- plain uniform Monte Carlo over T, used as
-  an independent cross-check.  Sampling uses the counter-based Philox
-  generator keyed on (seed, sample index chunk), so results are
-  bit-identical for a given (seed, samples) no matter how the work is
-  scheduled.
+* `integrate_unit_interval` -- the production driver.  Globally adaptive
+  bisection of [0, 1] with the embedded Gauss-Kronrod 7-15 rule: the
+  Kronrod value is the estimate and |K15 - G7| the local error, and the
+  worst interval is halved until the summed error drops below the
+  absolute tolerance.  Each point returns the integrand value together
+  with the size of the terms that cancelled in computing it, which
+  gives every interval a rounding floor; an interval at its floor is
+  final, so a tolerance below the integrand's rounding ends in
+  `NonConvergence` after a bounded number of evaluations.  It uses
+  plain Python floats, only + - * / and sqrt (correctly rounded under
+  IEEE 754) and an exactly rounded `math.fsum`, so its results are
+  byte-identical on every platform.
+* `integrate_triangle` -- the 2-D cubature, kept as an independent
+  check of the 1-D reductions.  The triangle T = {0 <= x <= y <= 1} is
+  mapped onto the unit square by x = u * v, y = v (dx dy = v du dv),
+  which turns corner concentration into a one-sided boundary layer in v,
+  and the square is bisected with a tensor Gauss-Kronrod 7-15 rule.
+  Integrands that behave like y / (y^2)^{3/2} on T become ~ 1/v, so a
+  divergence fails loudly (`NonConvergence`).
+* `mc_integrate_triangle` -- plain uniform Monte Carlo over T, a second
+  independent check.  Sampling uses the counter-based Philox generator
+  keyed on (seed, sample index chunk), so results are bit-identical for
+  a given (seed, samples) no matter how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -80,6 +80,20 @@ WEIGHTS_G7[[5, 9]] = _WG[2]
 WEIGHTS_G7[7] = _WG[3]
 
 _POINTS_PER_CELL = NODES_15.size ** 2
+
+# The same rule as plain Python floats for the 1-D driver: positive
+# Kronrod abscissae (descending) with their weights, the centre weights,
+# and the Gauss weights of the odd-indexed abscissae.
+_ABSCISSAE = tuple(_XGK.tolist())
+_KRONROD = tuple(_WGK[:7].tolist())
+_KRONROD_CENTRE = float(_WGK[7])
+_GAUSS = tuple(_WG[:3].tolist())
+_GAUSS_CENTRE = float(_WG[3])
+_POINTS_PER_INTERVAL = 15
+
+# A rule's rounding floor is this times its Kronrod sum of point scales
+# (the factor of QUADPACK's dqk15).
+_ROUNDING = 50.0 * 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -194,6 +208,121 @@ def integrate_triangle(
     # refinement and would otherwise accumulate cancellation drift.
     value = math.fsum(item[2] for item in heap)
     error = math.fsum(item[3] for item in heap)
+    return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
+
+
+def _interval_rule(f, a, b):
+    """Kronrod value, |Kronrod - Gauss| and rounding floor of f on [a, b]."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    try:
+        fc, sc = f(c)
+        kron = _KRONROD_CENTRE * fc
+        gauss = _GAUSS_CENTRE * fc
+        scale = _KRONROD_CENTRE * sc
+        for j in range(7):
+            d = h * _ABSCISSAE[j]
+            f1, s1 = f(c - d)
+            f2, s2 = f(c + d)
+            pair = f1 + f2
+            kron += _KRONROD[j] * pair
+            scale += _KRONROD[j] * (s1 + s2)
+            if j & 1:
+                gauss += _GAUSS[j >> 1] * pair
+    except (ZeroDivisionError, ValueError) as exc:
+        # a division by zero or the square root of a negative number
+        raise NonFiniteIntegrand(f"integrand failed inside [0, 1]: {exc}") from None
+    if not (abs(kron) < math.inf and scale < math.inf):
+        raise NonFiniteIntegrand("integrand returned a non-finite value inside [0, 1]")
+    return h * kron, abs(h * (kron - gauss)), _ROUNDING * h * scale
+
+
+def integrate_unit_interval(
+    f: Callable[[float], tuple],
+    tol: float,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    initial_depth: int = 2,
+    breakpoints=(),
+) -> QuadratureResult:
+    """Integrate f(y) over [0, 1] to absolute tolerance tol.
+
+    f(y) returns (value, scale): scale >= |value| is the size of the
+    terms that cancelled in computing value, so that a few eps * scale
+    bounds its rounding error.  Refinement starts from 2**initial_depth
+    equal intervals, further split at every breakpoint inside (0, 1).
+    An interval whose |K - G| is at or below its rounding floor (50 eps
+    times the rule applied to the scales) is final: the floor is its
+    error and it is never split again.  Raises `NonConvergence` once more
+    than `budget` evaluations would be needed, or when every remaining
+    interval is final and the summed error still exceeds tol (the
+    tolerance is below the integrand's rounding); raises
+    `NonFiniteIntegrand` if f produces NaN/inf or divides by zero.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if initial_depth < 0:
+        raise ValueError("initial_depth must be >= 0")
+    n0 = 1 << initial_depth
+    edges = sorted({k / n0 for k in range(n0 + 1)}
+                   | {float(p) for p in breakpoints if 0.0 < p < 1.0})
+
+    heap = []  # (-error, a, b, value): intervals still open to bisection
+    final = []  # (value, error): intervals at their rounding floor
+    evaluations = 0
+
+    def push(a, b):
+        value, err, floor = _interval_rule(f, a, b)
+        if err <= floor:
+            final.append((value, floor))
+            return floor
+        heapq.heappush(heap, (-err, a, b, value))
+        return err
+
+    for a, b in zip(edges, edges[1:]):
+        if evaluations + _POINTS_PER_INTERVAL > budget:
+            raise NonConvergence(
+                "evaluation budget exhausted during initial subdivision",
+                evaluations=evaluations,
+            )
+        push(a, b)
+        evaluations += _POINTS_PER_INTERVAL
+
+    def estimate():
+        value = math.fsum([item[3] for item in heap] + [item[0] for item in final])
+        error = math.fsum([-item[0] for item in heap] + [item[1] for item in final])
+        return value, error
+
+    total = estimate()[1]
+    while total > tol:
+        if not heap:
+            value, error = estimate()
+            raise NonConvergence(
+                f"tolerance {tol:g} is below the rounding level of the "
+                f"integrand (estimate {value:.6g} +- {error:.2g} after "
+                f"{evaluations} evaluations)",
+                value=value,
+                error_estimate=error,
+                evaluations=evaluations,
+            )
+        if evaluations + 2 * _POINTS_PER_INTERVAL > budget:
+            value, error = estimate()
+            raise NonConvergence(
+                f"tolerance {tol:g} not reached within {budget} evaluations "
+                f"(current estimate {value:.6g} +- {error:.2g}); the "
+                "integrand may be non-integrable",
+                value=value,
+                error_estimate=error,
+                evaluations=evaluations,
+            )
+        neg_err, a, b, _ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        total += neg_err + push(a, mid) + push(mid, b)
+        evaluations += 2 * _POINTS_PER_INTERVAL
+
+    # Final totals from scratch: the running sum above only steers the
+    # refinement and would otherwise accumulate cancellation drift.
+    value, error = estimate()
     return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
 
 

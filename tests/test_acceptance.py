@@ -330,7 +330,7 @@ def test_criterion_9_cli_contract(capsys):
         (["mdm", "--q2", ""], cli.EXIT_USAGE),
         (["mdm", "--q2", "4.1"], cli.EXIT_DOMAIN),
         (["mdm", "--q2", "0", "--mcs2", "0"], cli.EXIT_INFRARED),
-        (["mdm", "--q2", "-1", "--mcs2", "1e-6", "--budget", "4000"],
+        (["mdm", "--q2", "-1", "--mcs2", "1e-6", "--budget", "150"],
          cli.EXIT_NONCONVERGENCE),
         (["phase", "--charges", str(Path(__file__).parent / "data" / "hexagon.json"),
           "--path", str(Path(__file__).parent / "data" / "hexagon.json"),

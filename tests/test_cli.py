@@ -160,7 +160,7 @@ def test_check_reduction_reports_and_exits_infrared(capsys):
         (["yukawa", "--q2", "-1", "--m1", "0.5", "--m2", "0"], cli.EXIT_DOMAIN),
         (["mdm", "--q2", "0", "--mcs2", "0"], cli.EXIT_INFRARED),
         (["ir-scan", "--q2", "-1e-2,-1e-3"], cli.EXIT_INFRARED),
-        (["mdm", "--q2", "-1", "--mcs2", "1e-6", "--budget", "4000"],
+        (["mdm", "--q2", "-1", "--mcs2", "1e-6", "--budget", "150"],
          cli.EXIT_NONCONVERGENCE),
         (["nonsense"], cli.EXIT_USAGE),
     ],

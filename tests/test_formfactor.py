@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from acmoment.errors import DomainError, InfraredDivergent
+from acmoment.errors import DomainError, InfraredDivergent, NonConvergence
 from acmoment.formfactor import (
     SUSY_PREFACTOR,
     YUKAWA_PREFACTOR,
@@ -299,3 +299,12 @@ def test_reduction_check_validation():
 def test_reference_oracle_validation():
     with pytest.raises(ValueError):
         susy_q0_reference(0.0)
+
+
+def test_tolerance_below_rounding_raises_in_bounded_evaluations():
+    # 2e-6 below threshold I is about 7.7e5 and its rounding exceeds 1e-8:
+    # the driver must give up on the rounding floor, not on the budget
+    with pytest.raises(NonConvergence) as info:
+        susy_form_factor(SusyParams(q_hat2=4.0, mcs_hat2=1e-6), 1e-8)
+    assert info.value.evaluations <= 1_000
+    assert info.value.error_estimate > 1e-8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmoment.errors import NonConvergence, NonFiniteIntegrand
-from acmoment.quadrature import integrate_triangle, mc_integrate_triangle
+from acmoment.quadrature import integrate_triangle, integrate_unit_interval, mc_integrate_triangle
 
 EXACT_M2_1 = math.log(3.0) - 2.0 * (math.sqrt(2.0) - 1.0)  # = 0.27018516392191956
 
@@ -155,3 +155,64 @@ def test_adaptive_and_mc_agree_within_three_sigma(f):
     mc = mc_integrate_triangle(f, 400_000, seed=11)
     sigma = math.hypot(quad.error_estimate, mc.error_estimate)
     assert abs(quad.value - mc.value) <= 3.0 * sigma
+
+
+# ------------------------------------------------------------ 1-D driver
+
+def exact_scale(f):
+    """Wrap a cancellation-free f(y) as the (value, scale) pair the driver takes."""
+    def g(y):
+        v = f(y)
+        return v, abs(v)
+    return g
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_unit_interval_monomials(k):
+    res = integrate_unit_interval(exact_scale(lambda y: y ** k), 1e-12)
+    assert abs(res.value - 1.0 / (k + 1)) <= 1e-15
+    assert res.evaluations == 4 * 15
+
+
+def test_unit_interval_breakpoints_split_the_start():
+    res = integrate_unit_interval(exact_scale(lambda y: 1.0), 1e-12, initial_depth=0,
+                                  breakpoints=(0.3, 1.0, 0.0, -2.0))
+    assert res.value == 1.0
+    assert res.evaluations == 2 * 15
+
+
+def test_unit_interval_endpoint_singularity_and_error_bound():
+    # Int_0^1 y^(-1/2) dy = 2
+    res = integrate_unit_interval(exact_scale(lambda y: 1.0 / math.sqrt(y)), 1e-10)
+    assert abs(res.value - 2.0) <= res.error_estimate <= 1e-10
+
+
+def test_unit_interval_validation_and_budget():
+    with pytest.raises(ValueError):
+        integrate_unit_interval(exact_scale(lambda y: y), 0.0)
+    with pytest.raises(ValueError):
+        integrate_unit_interval(exact_scale(lambda y: y), 1e-8, initial_depth=-1)
+    with pytest.raises(NonConvergence):
+        integrate_unit_interval(exact_scale(lambda y: y), 1e-8, budget=59)
+    with pytest.raises(NonConvergence) as info:
+        integrate_unit_interval(exact_scale(lambda y: 1.0 / y), 1e-8, budget=3000)
+    assert info.value.evaluations <= 3000
+
+
+def test_unit_interval_non_finite_detected():
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_unit_interval(lambda y: (math.nan, 1.0), 1e-8)
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_unit_interval(lambda y: (1.0 / (y - 0.5), 1.0), 1e-8, initial_depth=0)
+
+
+def test_unit_interval_tolerance_below_rounding_stops_early():
+    # a cancellation of 1e8 in every point makes 1e-12 unreachable; the
+    # rounding floor ends refinement instead of the budget
+    def f(y):
+        return y, 1e8 * abs(y)
+
+    with pytest.raises(NonConvergence) as info:
+        integrate_unit_interval(f, 1e-12)
+    assert info.value.evaluations == 4 * 15
+    assert abs(info.value.value - 0.5) <= info.value.error_estimate
