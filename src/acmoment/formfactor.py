@@ -38,7 +38,8 @@ which diverges logarithmically for *every* admissible q^2, not only at
 q^2 = 0.  Such inputs are therefore refused with `InfraredDivergent`
 instead of burning the evaluation budget on a quantity that has no
 finite value.  A positive Chern-Simons mass regulates the corner, and
-I(q^2=0, Mcs^2) ~ (1/2) ln(m^2/Mcs^2) as Mcs -> 0, which `cs_mass_scan`
+I(q^2=0, Mcs^2) = (1/2) ln(m^2/Mcs^2) + ln 2 - 1 + O(Mcs/m) as Mcs -> 0
+(from the closed form in `susy_q0_reference`), which `cs_mass_scan`
 exposes.  The same corner reappears in the Yukawa model exactly at the
 degenerate kinematics m2 = 0, m1 = m_phi.
 
@@ -82,9 +83,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad_1d
 
-from .errors import DomainError, InfraredDivergent
+from .errors import DomainError, InfraredDivergent, NonConvergence
 # integrate_triangle is no longer used here; it stays importable under
 # this name because the benchmark's tracer wraps it.
 from .quadrature import DEFAULT_BUDGET, integrate_triangle, integrate_unit_interval  # noqa: F401
@@ -430,13 +430,18 @@ def yukawa_form_factor(
     the |charge|-weighted sum of term errors.  The degenerate massless
     kinematics m2_hat = 0, m1_hat = 1 make the first-term corner
     non-integrable (identical to the gauge model at mcs_hat2 = 0) and
-    are refused with `InfraredDivergent` when e1 != 0.
+    are refused with `InfraredDivergent` when e1 != 0.  If a term does
+    not converge, the other term is still integrated and the raised
+    `NonConvergence` carries the charge-weighted partial sum, its
+    |charge|-weighted error and the evaluations of both terms (value and
+    error are None when a term stopped before any estimate).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     total = 0.0
     error = 0.0
     evaluations = 0
+    failure = None
     degenerate = params.m2_hat == 0.0 and params.m1_hat == 1.0
     m1, m2 = params.m1_hat, params.m2_hat
     for term, charge, ma, mb in (
@@ -460,16 +465,31 @@ def yukawa_form_factor(
                 "m2_hat = 0, m1_hat = 1; give m2 a mass or move m1_hat off "
                 "the scalar mass"
             )
-        res = integrate_unit_interval(
-            _yukawa_inner(params.q_hat2, ma, mb),
-            tol,
-            budget=budget,
-            initial_depth=initial_depth,
-            breakpoints=_yukawa_breakpoints(ma, mb),
-        )
-        total += charge * res.value
-        error += abs(charge) * res.error_estimate
+        try:
+            res = integrate_unit_interval(
+                _yukawa_inner(params.q_hat2, ma, mb),
+                tol,
+                budget=budget,
+                initial_depth=initial_depth,
+                breakpoints=_yukawa_breakpoints(ma, mb),
+            )
+        except NonConvergence as exc:
+            failure = failure or exc
+            res = exc  # carries the same three fields as a result
         evaluations += res.evaluations
+        if total is None or res.value is None:
+            total = error = None
+        else:
+            total += charge * res.value
+            error += abs(charge) * res.error_estimate
+    if failure is not None:
+        estimate = "no estimate" if total is None else f"estimate {total:.6g} +- {error:.2g}"
+        raise NonConvergence(
+            f"{failure} (charge-weighted sum: {estimate} after {evaluations} evaluations)",
+            value=total,
+            error_estimate=error,
+            evaluations=evaluations,
+        ) from failure
     return FormFactorResult(
         integral=total,
         error_estimate=error,
@@ -479,26 +499,30 @@ def yukawa_form_factor(
 
 
 def susy_q0_reference(mcs_hat2: float) -> float:
-    """Independent 1-D oracle for the gauge-model integral at q_hat2 = 0.
+    """Closed form of the gauge-model integral at q_hat2 = 0.
 
-    The inner integral has the closed form
+    Both Feynman-parameter integrals are elementary at q_hat2 = 0:
 
-        Int_x^1  y dy / (y^2 + c)^(3/2) = (x^2 + c)^(-1/2) - (1 + c)^(-1/2),
-        c = (1 - x) * mcs_hat2,
+        I(0, m) = ln(1 + 2/sqrt(m)) - 2 / (1 + sqrt(1 + m)),   m = mcs_hat2,
 
-    leaving a single well-behaved x integral that is evaluated with an
-    unrelated adaptive routine (QUADPACK).  At mcs_hat2 = 1 the result
-    is ln 3 - 2 (sqrt 2 - 1) analytically.
+    so that I = ln 3 - 2 (sqrt 2 - 1) at m = 1, I ~ (1/2) ln(1/m) +
+    ln 2 - 1 as m -> 0 and I ~ (5/3) m^(-3/2) as m -> infinity.  For
+    m > 16 the two terms cancel; there, with t = 2/sqrt(m) <= 1/2,
+
+        I = [ln(1 + t) - t + t^2/2] - t^3 / (4 (1 + sqrt(1 + t^2/4))),
+
+    with the bracket summed as its alternating series sum_{k>=3}
+    -(-t)^k / k up to k = 59 (the first term left out is below 1e-18 of
+    the sum).  It is independent of the y quadrature in
+    `susy_form_factor`, which it checks.
     """
     if not mcs_hat2 > 0.0:
         raise ValueError("mcs_hat2 must be > 0 (the massless case diverges)")
-
-    def reduced(x):
-        c = (1.0 - x) * mcs_hat2
-        return (x * x + c) ** -0.5 - (1.0 + c) ** -0.5
-
-    value, _ = _quad_1d(reduced, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return value
+    if mcs_hat2 <= 16.0:
+        return math.log1p(2.0 / math.sqrt(mcs_hat2)) - 2.0 / (1.0 + math.sqrt(1.0 + mcs_hat2))
+    t = 2.0 / math.sqrt(mcs_hat2)
+    log_tail = -math.fsum((-t) ** k / k for k in range(3, 60))
+    return log_tail - t ** 3 / (4.0 * (1.0 + math.sqrt(1.0 + 0.25 * t * t)))
 
 
 def reduction_integrand_deviation(

@@ -308,3 +308,12 @@ def test_tolerance_below_rounding_raises_in_bounded_evaluations():
         susy_form_factor(SusyParams(q_hat2=4.0, mcs_hat2=1e-6), 1e-8)
     assert info.value.evaluations <= 1_000
     assert info.value.error_estimate > 1e-8
+
+
+def test_yukawa_budget_too_small_for_any_estimate():
+    params = YukawaParams(q_hat2=-1.0, m1_hat=1.2, m2_hat=0.7, e1=1.0, e2=0.5)
+    with pytest.raises(NonConvergence) as info:
+        yukawa_form_factor(params, 1e-8, budget=10)
+    assert info.value.value is None
+    assert info.value.error_estimate is None
+    assert "no estimate" in str(info.value)

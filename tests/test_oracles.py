@@ -4,7 +4,9 @@
   inner integral at random y;
 * mpmath quadrature at 30 digits of the 1-D forms bounds the driver's
   true error by its error estimate;
-* the driver agrees with the 2-D cubature on regulated kinematics.
+* the driver agrees with the 2-D cubature on regulated kinematics;
+* mpmath quadrature at 50 digits of the reduced x integral checks the
+  closed-form static moment `susy_q0_reference` and its limits.
 """
 
 import math
@@ -22,6 +24,7 @@ from acmoment.formfactor import (
     _yukawa_inner,
     susy_form_factor,
     susy_integrand,
+    susy_q0_reference,
     yukawa_form_factor,
     yukawa_integrand,
 )
@@ -166,6 +169,23 @@ def test_yukawa_error_estimate_bounds_true_error(q2, m1, m2, tol):
                      may_hit_rounding=m2 == 0.0)
 
 
+def test_yukawa_nonconvergence_carries_the_charge_weighted_sum():
+    # at m2 = 0 the swapped term cannot reach tol 7.8e-8; the raised
+    # estimate must be that of the whole sum e1 I1 + e2 I2, not of one term
+    q2, m1, m2, tol = 0.0, 2.0, 0.0, 7.8e-8
+    first = yukawa_form_factor(YukawaParams(q2, m1, m2, 1.0, 0.0), tol)
+    with pytest.raises(NonConvergence) as swapped:
+        yukawa_form_factor(YukawaParams(q2, m1, m2, 0.0, 1.0), tol)
+    with pytest.raises(NonConvergence) as info:
+        yukawa_form_factor(YukawaParams(q2, m1, m2, 1.5, -0.5), tol)
+    exc, part = info.value, swapped.value
+    assert exc.value == 1.5 * first.integral - 0.5 * part.value
+    assert exc.error_estimate == 1.5 * first.error_estimate + 0.5 * part.error_estimate
+    assert exc.evaluations == first.evaluations + part.evaluations
+    ref = 1.5 * yukawa_term_ref(q2, m1, m2) - 0.5 * yukawa_term_ref(q2, m2, m1)
+    assert abs(exc.value - float(ref)) <= exc.error_estimate
+
+
 # ------------------------------------------------------ 2-D cubature check
 
 @pytest.mark.parametrize("q2", [-3.0, -1.0, 0.0, 1.0, 2.5])
@@ -175,3 +195,47 @@ def test_driver_agrees_with_2d_cubature(q2, mcs2):
     one = susy_form_factor(params, 1e-9)
     two = integrate_triangle(lambda x, y: susy_integrand(x, y, params), 1e-9)
     assert abs(one.integral - two.value) <= one.error_estimate + two.error_estimate
+
+
+# ------------------------------------------- closed-form static moment
+
+def static_ref(m):
+    """I(0, m) at 50 digits: Int_0^1 [(x^2 + c)^(-1/2) - (1 + c)^(-1/2)] dx,
+    c = (1 - x) m, the y integral done exactly; split at the scales
+    sqrt(m) near x = 0 and 1/m near x = 1."""
+    with mp.workdps(50):
+        m = mp.mpf(m)
+        pts = {mp.mpf(0), mp.mpf(1)}
+        for j in range(-30, 1):
+            for p in (mp.sqrt(m) * mp.mpf(10) ** -j, 1 - mp.mpf(10) ** j / m):
+                if 0 < p < 1:
+                    pts.add(p)
+
+        def f(x):
+            c = (1 - x) * m
+            return 1 / mp.sqrt(x * x + c) - 1 / mp.sqrt(1 + c)
+
+        return mp.quad(f, sorted(pts))
+
+
+# a log grid over [1e-12, 1e8], plus both sides of the switch at 16
+STATIC_GRID = [10.0 ** (k / 4.0) for k in range(-48, 33, 3)] + [15.999, 16.0, 16.001]
+
+
+@pytest.mark.parametrize("m", STATIC_GRID)
+def test_static_moment_closed_form_matches_mpmath(m):
+    ref = static_ref(m)
+    assert abs(susy_q0_reference(m) - ref) <= 2e-14 * ref
+
+
+def test_static_moment_heavy_photon_limit():
+    # I(0, m) m^(3/2) = 5/3 - 4/sqrt(m) + O(1/m)
+    for m in (1e4, 1e6, 1e8, 1e12):
+        assert abs(susy_q0_reference(m) * m ** 1.5 - 5.0 / 3.0) <= 5.0 / math.sqrt(m)
+
+
+def test_static_moment_infrared_law():
+    # I(0, m) - (ln(1/m)/2 + ln 2 - 1) = sqrt(m)/2 + O(m) as m -> 0
+    for m in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        law = 0.5 * math.log(1.0 / m) + math.log(2.0) - 1.0
+        assert abs(susy_q0_reference(m) - law - 0.5 * math.sqrt(m)) <= m
