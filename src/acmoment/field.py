@@ -18,10 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, SingularPoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +43,8 @@ class LineCharge:
 
     @property
     def position(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y])
 
 
@@ -62,11 +66,15 @@ class FieldConfig:
         object.__setattr__(self, "charges", charges)
 
     def positions(self) -> np.ndarray:
+        import numpy as np
+
         if not self.charges:
             return np.zeros((0, 2))
         return np.array([[c.x, c.y] for c in self.charges])
 
     def lambdas(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([c.lam for c in self.charges])
 
     @classmethod
@@ -113,6 +121,8 @@ def efield(config: FieldConfig, point) -> np.ndarray:
     matches the input shape.  Raises `SingularPoint` when any requested
     point coincides exactly with a charge position.
     """
+    import numpy as np
+
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -140,5 +150,7 @@ def dual_field(e) -> np.ndarray:
     and is not represented.  The map is a -90 degree rotation, so it is
     linear, norm-preserving, and squares to -identity.
     """
+    import numpy as np
+
     ev = np.asarray(e, dtype=float)
     return np.stack([ev[..., 1], -ev[..., 0]], axis=-1)

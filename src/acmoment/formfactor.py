@@ -82,8 +82,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InfraredDivergent, NonConvergence
 # integrate_triangle is no longer used here; it stays importable under
 # this name because the benchmark's tracer wraps it.
@@ -168,13 +166,19 @@ class SusyParams:
         mcs2 = self.mcs_hat2
         floor = _gauge_min(self.q_hat2, mcs2)
         if floor <= DENOMINATOR_FLOOR:
+            threshold = (1.0 + math.sqrt(1.0 + mcs2)) ** 2
+            if self.q_hat2 >= threshold:
+                raise DomainError(
+                    f"q_hat2 = {self.q_hat2:g} is at or above the two-body "
+                    f"threshold q_hat2 = (1 + sqrt(1 + mcs_hat2))^2 = "
+                    f"{threshold:.10g} for mcs_hat2 = {mcs2:g}: the denominator "
+                    f"is not positive on the triangle (minimum {floor:.3g})"
+                )
             raise DomainError(
-                f"denominator minimum {floor:.3g} is at or below the safety "
+                f"denominator minimum {floor:.3g} is at or below the regulator "
                 f"floor {DENOMINATOR_FLOOR:g} for q_hat2 = {self.q_hat2:g}, "
-                f"mcs_hat2 = {mcs2:g}: kinematics at or above the two-body "
-                f"threshold q_hat2 = (1 + sqrt(1 + mcs_hat2))^2 = "
-                f"{(1.0 + math.sqrt(1.0 + mcs2)) ** 2:.10g} (or a regulator mass too small "
-                "to integrate reliably) are not supported"
+                f"mcs_hat2 = {mcs2:g}: a regulator mass this small, or a q_hat2 "
+                "this close to the edge of the domain, cannot be integrated reliably"
             )
 
 
@@ -210,11 +214,19 @@ class YukawaParams:
         ):
             floor = _yukawa_min(self.q_hat2, ma, mb)
             if floor <= DENOMINATOR_FLOOR:
+                kinematics = (f"q_hat2 = {self.q_hat2:g}, m1_hat = {self.m1_hat:g}, "
+                              f"m2_hat = {self.m2_hat:g}")
+                if floor <= 0.0:
+                    raise DomainError(
+                        f"denominator of the {tag} mass ordering not positive on "
+                        f"the triangle (min {floor:.3g}); kinematics "
+                        f"{kinematics} are outside the supported domain"
+                    )
                 raise DomainError(
-                    f"denominator of the {tag} mass ordering not positive on "
-                    f"the triangle (min {floor:.3g}); kinematics "
-                    f"q_hat2 = {self.q_hat2:g}, m1_hat = {self.m1_hat:g}, "
-                    f"m2_hat = {self.m2_hat:g} are outside the supported domain"
+                    f"denominator minimum {floor:.3g} of the {tag} mass ordering "
+                    f"is at or below the safety floor {DENOMINATOR_FLOOR:g} "
+                    f"for {kinematics}: a mass this small, or kinematics this "
+                    "close to the edge of the domain, cannot be integrated reliably"
                 )
 
 
@@ -241,12 +253,16 @@ def susy_integrand(x, y, params: SusyParams):
     Accepts scalars or numpy arrays; requires 0 <= x <= y <= 1.  Raises
     `DomainError` if the denominator is not positive at any point.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     den = y * y + (1.0 - x) * params.mcs_hat2 - x * (y - x) * params.q_hat2
     if np.any(den <= 0.0):
         raise DomainError("denominator <= 0 at an evaluation point")
-    out = y / den ** 1.5
+    # den * sqrt(den), not den ** 1.5: both operations are correctly
+    # rounded, so every numpy build gives the same bits.
+    out = y / (den * np.sqrt(den))
     return float(out) if out.ndim == 0 else out
 
 
@@ -263,13 +279,15 @@ def yukawa_integrand(x, y, params: YukawaParams, term: str = "first"):
         ma, mb = params.m2_hat, params.m1_hat
     else:
         raise ValueError(f"term must be 'first' or 'swapped', got {term!r}")
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     num = (ma + mb) * y - mb
     den = y * y - x * (y - x) * params.q_hat2 + mb * mb - y * (1.0 - (ma * ma - mb * mb))
     if np.any(den <= 0.0):
         raise DomainError("denominator <= 0 at an evaluation point")
-    out = num / den ** 1.5
+    out = num / (den * np.sqrt(den))
     return float(out) if out.ndim == 0 else out
 
 
@@ -538,6 +556,8 @@ def reduction_integrand_deviation(
     """
     if not q_hat2 < 0.0:
         raise ValueError("q_hat2 must be negative (spacelike)")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.random(n_points)
     b = rng.random(n_points)
@@ -602,23 +622,22 @@ class ScanResult:
 
 
 def _line_fit(xs, ys):
+    """Least-squares line through (xs, ys) and its R^2, from fsum sums."""
     n = len(xs)
     if n < 2:
         return math.nan, math.nan, math.nan
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
     if sxx == 0.0:
         return math.nan, math.nan, math.nan
-    slope = float(xc @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    slope = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    intercept = my - slope * mx
+    ss_tot = math.fsum((y - my) ** 2 for y in ys)
     if ss_tot == 0.0:
         return slope, intercept, math.nan
-    r_squared = 1.0 - float(resid @ resid) / ss_tot
-    return slope, intercept, r_squared
+    ss_res = math.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    return slope, intercept, 1.0 - ss_res / ss_tot
 
 
 def ir_scan(

@@ -34,13 +34,14 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EndpointMismatch, ParseError, PointOnPath, SingularPath
 from .field import TWO_PI, FieldConfig
 from .field import efield  # noqa: F401  bench/spans.py wraps acmoment.phase.efield
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # gamma-matrix orientation tag entering the scalar coupling; recorded in
 # output metadata, with the species signs fixed to the stated results.
@@ -76,6 +77,8 @@ class PolylinePath:
     closed: bool = False
 
     def __post_init__(self):
+        import numpy as np
+
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("vertices must be an (n >= 2, 2) array")
@@ -94,6 +97,8 @@ class PolylinePath:
 
     def segment_endpoints(self):
         """Arrays (P, Q) of segment start/end points, closure included."""
+        import numpy as np
+
         v = self.vertices
         if self.closed:
             return v, np.roll(v, -1, axis=0)
@@ -119,7 +124,7 @@ class PolylinePath:
         if not isinstance(data["closed"], bool):
             raise ParseError('"closed" must be a boolean')
         try:
-            return cls(np.asarray(data["vertices"], dtype=float), data["closed"])
+            return cls(data["vertices"], data["closed"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"invalid path vertices: {exc}") from exc
 
@@ -157,6 +162,8 @@ def _subtended_angles(path: PolylinePath, points, on_path: Exception):
     point lies within 1e-12 of the path diameter from a segment, where
     the angle is undefined.
     """
+    import numpy as np
+
     P, Q = path.segment_endpoints()
     a = P[None, :, :] - points[:, None, :]
     b = Q[None, :, :] - points[:, None, :]
@@ -198,6 +205,8 @@ def winding_number(path: PolylinePath, point) -> int:
     """
     if not path.closed:
         raise ValueError("winding_number requires a closed path")
+    import numpy as np
+
     p = np.asarray(point, dtype=float)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise ValueError("point must be a finite 2-vector")
@@ -245,10 +254,10 @@ def ac_phase(
         raise ValueError("g must be finite")
     lam, angles = _charge_angles(path, config, tol)
     windings = tuple(_winding(angle) for angle in angles)
-    terms = lam * np.array(windings, dtype=float)
+    terms = [lam_i * w for lam_i, w in zip(lam.tolist(), windings)]
     # Each product, the fsum and the scaling by g round once, each by at
     # most half an ulp, i.e. eps/2 of a value bounded by |g| sum|terms|.
-    bound = 2.0 * sys.float_info.epsilon * abs(g) * math.fsum(np.abs(terms))
+    bound = 2.0 * sys.float_info.epsilon * abs(g) * math.fsum(map(abs, terms))
     return PhaseResult(
         phase=species.winding_sign * g * math.fsum(terms),
         windings=windings,
@@ -276,8 +285,8 @@ def fringe_shift(
         raise ValueError("fringe_shift arms must be open paths")
     if not math.isfinite(g):
         raise ValueError("g must be finite")
-    same_start = bool(np.all(path_a.vertices[0] == path_b.vertices[0]))
-    same_end = bool(np.all(path_a.vertices[-1] == path_b.vertices[-1]))
+    same_start = path_a.vertices[0].tolist() == path_b.vertices[0].tolist()
+    same_end = path_a.vertices[-1].tolist() == path_b.vertices[-1].tolist()
     if not (same_start and same_end):
         raise EndpointMismatch(
             "interferometer arms must share identical start and end points"

@@ -27,6 +27,9 @@ integrators are provided:
   independent check.  Sampling uses the counter-based Philox generator
   keyed on (seed, sample index chunk), so results are bit-identical for
   a given (seed, samples) no matter how the work is scheduled.
+
+Only the two 2-D checks use numpy, and they import it when called, so
+the production path loads no numpy.
 """
 
 from __future__ import annotations
@@ -36,14 +39,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import NonConvergence, NonFiniteIntegrand
 
 DEFAULT_BUDGET = 10_000_000
 
-# Gauss-Kronrod 7-15 abscissae/weights on [-1, 1] (QUADPACK dqk15 values).
-_XGK = np.array([
+# Gauss-Kronrod 7-15 abscissae/weights on [-1, 1] (QUADPACK dqk15 values):
+# the positive Kronrod abscissae (descending) with their weights, the
+# centre weight last, and the Gauss weights of the odd-indexed abscissae,
+# the Gauss centre weight last.
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -51,8 +55,8 @@ _XGK = np.array([
     0.586087235467691130294144838258730,
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -61,34 +65,22 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
 # Full 15-point grid in ascending order; the 7 Gauss nodes are the
 # odd-indexed entries, so both rules share one evaluation array.
-NODES_15 = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
-WEIGHTS_K15 = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-WEIGHTS_G7 = np.zeros(15)
-WEIGHTS_G7[[1, 13]] = _WG[0]
-WEIGHTS_G7[[3, 11]] = _WG[1]
-WEIGHTS_G7[[5, 9]] = _WG[2]
-WEIGHTS_G7[7] = _WG[3]
+NODES_15 = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
+WEIGHTS_K15 = _WGK + _WGK[6::-1]
+WEIGHTS_G7 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+              0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 
-_POINTS_PER_CELL = NODES_15.size ** 2
-
-# The same rule as plain Python floats for the 1-D driver: positive
-# Kronrod abscissae (descending) with their weights, the centre weights,
-# and the Gauss weights of the odd-indexed abscissae.
-_ABSCISSAE = tuple(_XGK.tolist())
-_KRONROD = tuple(_WGK[:7].tolist())
-_KRONROD_CENTRE = float(_WGK[7])
-_GAUSS = tuple(_WG[:3].tolist())
-_GAUSS_CENTRE = float(_WG[3])
+_POINTS_PER_CELL = len(NODES_15) ** 2
 _POINTS_PER_INTERVAL = 15
 
 # A rule's rounding floor is this times its Kronrod sum of point scales
@@ -113,6 +105,8 @@ class QuadratureResult:
 
 def _as_grid_function(f: Callable[[float, float], float]):
     """Return a wrapper evaluating f on numpy arrays of (x, y) points."""
+    import numpy as np
+
     xt = np.array([0.3, 0.45])
     yt = np.array([0.6, 0.9])
     try:
@@ -125,12 +119,18 @@ def _as_grid_function(f: Callable[[float, float], float]):
     return lambda x, y: fv(x, y)
 
 
-def _cell_rule(fg, ua, ub, va, vb):
-    """Kronrod and Gauss estimates of the transformed integrand on a cell."""
+def _cell_rule(fg, rule, ua, ub, va, vb):
+    """Kronrod and Gauss estimates of the transformed integrand on a cell.
+
+    rule is (NODES_15, WEIGHTS_K15, WEIGHTS_G7) as numpy arrays.
+    """
+    import numpy as np
+
+    nodes, wk, wg = rule
     hu = 0.5 * (ub - ua)
     hv = 0.5 * (vb - va)
-    u = 0.5 * (ua + ub) + hu * NODES_15
-    v = 0.5 * (va + vb) + hv * NODES_15
+    u = 0.5 * (ua + ub) + hu * nodes
+    v = 0.5 * (va + vb) + hv * nodes
     U, V = np.meshgrid(u, v, indexing="ij")
     vals = fg(U * V, V) * V
     if not np.all(np.isfinite(vals)):
@@ -138,8 +138,8 @@ def _cell_rule(fg, ua, ub, va, vb):
             "integrand returned a non-finite value inside the triangle"
         )
     scale = hu * hv
-    kron = scale * (WEIGHTS_K15 @ vals @ WEIGHTS_K15)
-    gauss = scale * (WEIGHTS_G7 @ vals @ WEIGHTS_G7)
+    kron = scale * (wk @ vals @ wk)
+    gauss = scale * (wg @ vals @ wg)
     return kron, abs(kron - gauss)
 
 
@@ -160,7 +160,10 @@ def integrate_triangle(
         raise ValueError("tol must be positive")
     if initial_depth < 0:
         raise ValueError("initial_depth must be >= 0")
+    import numpy as np
+
     fg = _as_grid_function(f)
+    rule = tuple(np.array(t) for t in (NODES_15, WEIGHTS_K15, WEIGHTS_G7))
 
     n0 = 2 ** initial_depth
     edges = np.linspace(0.0, 1.0, n0 + 1)
@@ -174,7 +177,8 @@ def integrate_triangle(
                     "evaluation budget exhausted during initial subdivision",
                     evaluations=evaluations,
                 )
-            val, err = _cell_rule(fg, edges[i], edges[i + 1], edges[j], edges[j + 1])
+            val, err = _cell_rule(fg, rule, edges[i], edges[i + 1],
+                                  edges[j], edges[j + 1])
             evaluations += _POINTS_PER_CELL
             heapq.heappush(heap, (-err, counter, val, err, edges[i], edges[i + 1],
                                   edges[j], edges[j + 1]))
@@ -198,7 +202,7 @@ def integrate_triangle(
         vm = 0.5 * (va + vb)
         for (a, b) in ((ua, um), (um, ub)):
             for (c, d) in ((va, vm), (vm, vb)):
-                cval, cerr = _cell_rule(fg, a, b, c, d)
+                cval, cerr = _cell_rule(fg, rule, a, b, c, d)
                 evaluations += _POINTS_PER_CELL
                 heapq.heappush(heap, (-cerr, counter, cval, cerr, a, b, c, d))
                 counter += 1
@@ -217,18 +221,18 @@ def _interval_rule(f, a, b):
     h = 0.5 * (b - a)
     try:
         fc, sc = f(c)
-        kron = _KRONROD_CENTRE * fc
-        gauss = _GAUSS_CENTRE * fc
-        scale = _KRONROD_CENTRE * sc
+        kron = _WGK[7] * fc
+        gauss = _WG[3] * fc
+        scale = _WGK[7] * sc
         for j in range(7):
-            d = h * _ABSCISSAE[j]
+            d = h * _XGK[j]
             f1, s1 = f(c - d)
             f2, s2 = f(c + d)
             pair = f1 + f2
-            kron += _KRONROD[j] * pair
-            scale += _KRONROD[j] * (s1 + s2)
+            kron += _WGK[j] * pair
+            scale += _WGK[j] * (s1 + s2)
             if j & 1:
-                gauss += _GAUSS[j >> 1] * pair
+                gauss += _WG[j >> 1] * pair
     except (ZeroDivisionError, ValueError) as exc:
         # a division by zero or the square root of a negative number
         raise NonFiniteIntegrand(f"integrand failed inside [0, 1]: {exc}") from None
@@ -329,6 +333,27 @@ def integrate_unit_interval(
 _MC_CHUNK = 1 << 20
 
 
+def _tree_sum(v) -> float:
+    """Sum of a 1-D float array along a pairwise tree fixed by its length.
+
+    Each level adds the back half of the remaining entries onto the front
+    half, elementwise, and an odd middle entry waits one level.  Every
+    addition and its operands are thus set by the length alone, so the
+    sum does not depend on how a numpy build blocks or vectorises its
+    reductions.  v is left unchanged.
+    """
+    n = v.size
+    w = v[:n - n // 2].copy()  # the front half and the odd middle entry
+    src = v
+    while n > 1:
+        h = n // 2
+        front = w[:h]
+        front += src[n - h:n]
+        src = w
+        n -= h
+    return float(w[0])
+
+
 def mc_integrate_triangle(
     f: Callable[[float, float], float],
     samples: int,
@@ -341,11 +366,14 @@ def mc_integrate_triangle(
     triangle.  The estimate is area * mean(f) with area = 1/2, and
     `error_estimate` is the one-sigma standard error of that mean.
     Chunk c of the stream starts at Philox counter 2 * c * chunk_size,
-    so the draw for sample i never depends on how chunks are scheduled;
-    chunk partial sums are reduced in index order.
+    so the draw for sample i never depends on how chunks are scheduled.
+    Each chunk's sum and sum of squares follow the fixed tree of
+    `_tree_sum`, and the chunk partial sums are added exactly (fsum).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import numpy as np
+
     fg = _as_grid_function(f)
 
     chunk_sums = []
@@ -366,8 +394,8 @@ def mc_integrate_triangle(
             raise NonFiniteIntegrand(
                 "integrand returned a non-finite value at a Monte Carlo sample"
             )
-        chunk_sums.append(float(np.sum(vals)))
-        chunk_sqsums.append(float(np.dot(vals, vals)))
+        chunk_sums.append(_tree_sum(vals))
+        chunk_sqsums.append(_tree_sum(vals * vals))
 
     n = samples
     s = math.fsum(chunk_sums)

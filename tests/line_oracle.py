@@ -14,7 +14,11 @@ import math
 import numpy as np
 
 from acmoment.field import dual_field, efield
-from acmoment.quadrature import NODES_15, WEIGHTS_G7, WEIGHTS_K15
+from acmoment import quadrature
+
+NODES_15 = np.asarray(quadrature.NODES_15)
+WEIGHTS_K15 = np.asarray(quadrature.WEIGHTS_K15)
+WEIGHTS_G7 = np.asarray(quadrature.WEIGHTS_G7)
 
 MAX_DEPTH = 40
 

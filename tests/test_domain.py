@@ -123,6 +123,22 @@ def test_light_nonzero_mass_is_rejected_like_a_light_regulator():
     YukawaParams(-1.0, 1.5, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "build,fired,not_fired",
+    [
+        (lambda: SusyParams(-3.0, 1e-10), "regulator floor", "threshold"),
+        (lambda: SusyParams(4.1, 0.0), "two-body threshold", "floor"),
+        (lambda: SusyParams(threshold(1.0) + 0.03, 1.0), "two-body threshold", "floor"),
+        (lambda: YukawaParams(-1.0, 1.5, 1e-5, 1.0, 1.0), "safety floor", "not positive"),
+        (lambda: YukawaParams(-1.0, 0.5, 0.0, 1.0, 0.0), "not positive", "floor"),
+    ],
+)
+def test_domain_error_names_the_rule_that_fired(build, fired, not_fired):
+    with pytest.raises(DomainError, match=fired) as info:
+        build()
+    assert not_fired not in str(info.value)
+
+
 def test_exact_minimum_bounds_dense_sampling():
     n = 400
     for q2, mcs2 in ((-2.0, 0.5), (3.0, 0.01), (5.0, 1.0), (4.5, 0.3), (2.5, 0.2)):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from acmoment import quadrature
 from acmoment.errors import NonConvergence, NonFiniteIntegrand
+from acmoment.formfactor import SusyParams, susy_integrand
 from acmoment.quadrature import integrate_triangle, integrate_unit_interval, mc_integrate_triangle
 
 EXACT_M2_1 = math.log(3.0) - 2.0 * (math.sqrt(2.0) - 1.0)  # = 0.27018516392191956
@@ -109,6 +111,42 @@ def test_mc_same_seed_bit_identical():
     assert a.error_estimate == b.error_estimate
     c = mc_integrate_triangle(lambda x, y: np.cos(x) * y, 2_500_000, seed=8)
     assert c.value != a.value
+
+
+def _tree_sum(values):
+    """The fixed pairwise tree of the Monte Carlo reduction, in plain floats."""
+    w = list(values)
+    n = len(w)
+    while n > 1:
+        h = n // 2
+        for i in range(h):
+            w[i] += w[n - h + i]
+        n -= h
+    return w[0]
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 64])
+def test_mc_matches_pure_python_recomputation(monkeypatch, chunk):
+    # 1001 samples: one odd chunk at the production size; with 64-sample
+    # chunks the Philox offsets and the fsum over chunks are exercised
+    # too, and the last chunk holds an odd 41.
+    monkeypatch.setattr(quadrature, "_MC_CHUNK", chunk)
+    q2, m, n, seed = -1.0, 1.0, 1001, 7
+    params = SusyParams(q_hat2=q2, mcs_hat2=m)
+    res = mc_integrate_triangle(lambda x, y: susy_integrand(x, y, params), n, seed)
+
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * n).tolist()
+    vals = []
+    for a, b in zip(u[0::2], u[1::2]):
+        x, y = min(a, b), max(a, b)
+        den = y * y + (1.0 - x) * m - x * (y - x) * q2
+        vals.append(y / (den * math.sqrt(den)))
+    chunks = [vals[i:i + chunk] for i in range(0, n, chunk)]
+    s = math.fsum(_tree_sum(c) for c in chunks)
+    s2 = math.fsum(_tree_sum([v * v for v in c]) for c in chunks)
+    assert res.value == 0.5 * (s / n)
+    assert res.error_estimate == 0.5 * math.sqrt((s2 - s * s / n) / (n - 1) / n)
+    assert res.evaluations == n
 
 
 def test_mc_single_sample_has_no_spread_estimate():
